@@ -1,0 +1,9 @@
+"""Make the benchmark's modules importable as top-level names, as
+``run.py`` sees them."""
+
+import sys
+from pathlib import Path
+
+BENCH_DIR = Path(__file__).resolve().parent.parent
+if str(BENCH_DIR) not in sys.path:
+    sys.path.insert(0, str(BENCH_DIR))
