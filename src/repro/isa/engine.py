@@ -67,8 +67,6 @@ class _BadPC(Exception):
         self.pc = pc
 
 
-_HALT = _Halt()
-
 #: opcodes whose handlers bank their extra cycles (cost − 1) inline.
 _SURCHARGED = frozenset({"ld", "st", "mul", "muli", "div", "rem", "divi", "remi"})
 
@@ -873,7 +871,10 @@ class ThreadedEngine:
         elif op == "halt":
 
             def handler():
-                raise _HALT
+                # A fresh instance per halt: re-raising a shared one
+                # would chain each raise's frames onto its traceback
+                # and keep every halted machine alive.
+                raise _Halt
 
         else:  # pragma: no cover - assembler rejects unknown opcodes
             raise MachineError(f"{name}: unimplemented opcode {op!r}")

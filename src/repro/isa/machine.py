@@ -236,7 +236,8 @@ class Machine:
         self.memory_words = memory_words
         self.observer = observer
         self.registers: List[int] = [0] * NUM_REGISTERS
-        self.memory: List[int] = list(program.data_image) + [0] * (memory_words - len(program.data_image))
+        self.memory: List[int] = [0] * memory_words
+        self.memory[: len(program.data_image)] = program.data_image
         self.pc = program.entry
         self.halted = False
         self.instructions_executed = 0

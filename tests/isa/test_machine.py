@@ -103,6 +103,12 @@ class TestMemory:
         result = run_body("la r1, v\nld r2, 1(r1)\nout r2", data="v: .word 10, 20")
         assert result.output == [20]
 
+    def test_memory_holds_data_image_then_zeros(self):
+        program = assemble(".data\nv: .word 10, 20, 30\n.text\n.proc main nargs=0\nhalt\n.endproc\n")
+        machine = Machine(program, memory_words=64)
+        assert machine.memory == [10, 20, 30] + [0] * 61
+        assert len(Machine(program, memory_words=3).memory) == 3
+
     def test_out_of_range_load_faults(self):
         with pytest.raises(MachineError):
             run_body("li r1, -5\nld r2, 0(r1)")
