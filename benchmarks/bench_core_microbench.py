@@ -16,7 +16,6 @@ from collections import Counter
 
 from helpers import append_history, write_bench_json
 
-from repro.core import fold as foldmod
 from repro.core.metrics import ValueStreamStats
 from repro.core.profile import ProfileDatabase
 from repro.core.sampling import ConvergentSampling, SamplingProfiler
@@ -115,15 +114,13 @@ def test_sampled_record_batch_throughput(benchmark):
 def test_tnv_record_grouped_throughput(benchmark):
     """The columnar fast path: pre-deduplicated pairs, no re-count."""
     interval = TNVTable().clear_interval
-    chunks = [
-        Counter(_VALUES[start : start + interval])
-        for start in range(0, len(_VALUES), interval)
-    ]
+    runs = [_VALUES[start : start + interval] for start in range(0, len(_VALUES), interval)]
+    chunks = [(Counter(run), len(run)) for run in runs]
 
     def record_all():
         table = TNVTable()
-        for counts in chunks:
-            table.record_grouped(counts)
+        for counts, n in chunks:
+            table.record_grouped(counts, n)
         return table
 
     table = benchmark(record_all)
@@ -182,31 +179,17 @@ def test_replay_fold_throughput(benchmark):
     """Replay→fold pipeline: grouped columnar folds vs per-event replay.
 
     Emits ``BENCH_replay_fold.json`` with events/s for the per-event
-    reference, the pure-Python grouped kernel, and (when installed) the
-    numpy kernel, plus the pure-Python speedup the PR is gated on.
+    reference and the grouped fold, plus the fold's speedup.
     """
     trace = _synthetic_trace()
-    saved = foldmod.fold_mode()
-    try:
-        foldmod.set_fold_mode(foldmod.FOLD_PYTHON)
-        reference = replay_profile(trace, _TARGETS)
+    reference = replay_profile(trace, _TARGETS)
 
-        def fold_python():
-            return replay_profile(trace, _TARGETS)
+    def fold():
+        return replay_profile(trace, _TARGETS)
 
-        database = benchmark(fold_python)
-        assert database.to_json() == reference.to_json()
-
-        event_eps = _events_per_second(trace, _replay_per_event)
-        numpy_eps = None
-        if foldmod.have_numpy():
-            foldmod.set_fold_mode(foldmod.FOLD_NUMPY)
-            assert replay_profile(trace, _TARGETS).to_json() == reference.to_json()
-            numpy_eps = _events_per_second(
-                trace, lambda t: replay_profile(t, _TARGETS)
-            )
-    finally:
-        foldmod.set_fold_mode(saved)
+    database = benchmark(fold)
+    assert database.to_json() == reference.to_json()
+    event_eps = _events_per_second(trace, _replay_per_event)
 
     stats = getattr(getattr(benchmark, "stats", None), "stats", None)
     if stats is None:
@@ -222,13 +205,10 @@ def test_replay_fold_throughput(benchmark):
         events_per_s_python=python_eps,
         events_per_s_python_mean=len(trace) / stats.mean,
         events_per_s_event=event_eps,
-        events_per_s_numpy=numpy_eps,
         speedup_python_vs_event=python_eps / event_eps,
     )
     append_history("replay_fold", "events_per_s_python", python_eps)
     append_history("replay_fold", "events_per_s_event", event_eps)
-    if numpy_eps is not None:
-        append_history("replay_fold", "events_per_s_numpy", numpy_eps)
 
 
 def _run_go(observer=None):

@@ -399,13 +399,6 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         help="re-simulate for every consumer instead of replaying from "
         "the simulate-once event-trace store",
     )
-    parser.add_argument(
-        "--fold",
-        choices=("grouped", "numpy", "python", "event"),
-        help="replay fold path (default: grouped = columnar folds, numpy "
-        "kernel when available; event = legacy per-site event batches; "
-        "REPRO_FOLD says otherwise)",
-    )
 
 
 def _apply_engine_args(args: argparse.Namespace):
@@ -417,18 +410,15 @@ def _apply_engine_args(args: argparse.Namespace):
     """
     import os
 
-    from repro.core import fold as foldmod
     from repro.isa import machine as machine_module
 
     engine = getattr(args, "engine", None)
     no_replay = getattr(args, "no_replay", False)
-    fold = getattr(args, "fold", None)
     saved = {
         key: os.environ.get(key)
-        for key in ("REPRO_ENGINE", "REPRO_NO_REPLAY", "REPRO_FOLD")
+        for key in ("REPRO_ENGINE", "REPRO_NO_REPLAY")
     }
     replay_before = experiments.replay_enabled()
-    fold_before = foldmod.fold_mode()
     # Fail a bad selector (e.g. a typo'd REPRO_ENGINE inherited from
     # the environment) here at startup, with the same clear error for
     # every command, instead of deep inside Machine construction.
@@ -438,9 +428,6 @@ def _apply_engine_args(args: argparse.Namespace):
     if no_replay:
         os.environ["REPRO_NO_REPLAY"] = "1"
         experiments.set_replay_enabled(False)
-    if fold:
-        os.environ["REPRO_FOLD"] = fold
-        foldmod.set_fold_mode(fold)
 
     def restore() -> None:
         for key, value in saved.items():
@@ -449,7 +436,6 @@ def _apply_engine_args(args: argparse.Namespace):
             else:
                 os.environ[key] = value
         experiments.set_replay_enabled(replay_before)
-        foldmod.set_fold_mode(fold_before)
 
     return restore
 

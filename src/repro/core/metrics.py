@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
-from operator import eq
-from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Hashable, Iterable, List, Sequence, Tuple
+
+if TYPE_CHECKING:
+    from repro.core.fold import SiteFold
 
 Value = Hashable
 
@@ -91,89 +92,38 @@ class ValueStreamStats:
     def record_many(self, values: Iterable[Value]) -> None:
         """Record a run of dynamic values in order.
 
-        State-identical to per-value :meth:`record` calls, but counts
-        duplicates with one C-level pass and updates the LVP adjacency
-        count pairwise instead of paying a Python call per event.
+        State-identical to per-value :meth:`record` calls: the run is
+        reduced once by :func:`repro.core.fold.fold_values` and spliced
+        on through :meth:`record_fold`.
         """
+        from repro.core.fold import fold_values  # fold imports this module
+
         if not isinstance(values, (list, tuple)):
             values = list(values)
-        if not values:
-            return
-        counts = Counter(values)
-        zeros = 0
-        for value, count in counts.items():
-            if is_zero(value):
-                zeros += count
-        # map+operator.eq runs the adjacency scan at C speed; the old
-        # zip genexpr paid a Python-level comparison per event.
-        hits = sum(map(eq, values, islice(values, 1, None))) if len(values) > 1 else 0
-        self.record_parts(
-            counts=counts,
-            n=len(values),
-            zeros=zeros,
-            lvp_hits=hits,
-            first=values[0],
-            last=values[-1],
-        )
+        if values:
+            self.record_fold(fold_values(values, None))
 
-    def record_run(self, value: Value, count: int) -> None:
-        """Record ``count`` consecutive executions producing ``value``.
-
-        State-identical to ``count`` :meth:`record` calls: the run
-        contributes ``count - 1`` internal last-value hits, plus the
-        run-boundary hit when it continues the previous value.
-        """
-        if count <= 0:
-            return
-        self.record_parts(
-            counts={value: count},
-            n=count,
-            zeros=count if is_zero(value) else 0,
-            lvp_hits=count - 1,
-            first=value,
-            last=value,
-        )
-
-    def record_grouped(self, pairs: Iterable[Tuple[Value, int]]) -> None:
-        """Record run-length ``(value, count)`` pairs in stream order.
-
-        Each pair stands for ``count`` consecutive executions of
-        ``value``; the expanded stream is recorded exactly, including
-        last-value hits across pair boundaries (adjacent pairs may
-        carry equal values).
-        """
-        for value, count in pairs:
-            self.record_run(value, count)
-
-    def record_parts(
-        self,
-        counts: Dict[Value, int],
-        n: int,
-        zeros: int,
-        lvp_hits: int,
-        first: Value,
-        last: Value,
-    ) -> None:
+    def record_fold(self, fold: SiteFold) -> None:
         """Fold an already-reduced run into the statistics.
 
-        The columnar fast path: a run's histogram, zero count and
+        The columnar fast path: the run's histogram, zero count and
         *internal* adjacency hits arrive precomputed (one reduction,
         shared with the TNV table — see :mod:`repro.core.fold`); this
         method only splices the run onto the stream recorded so far by
         adding the boundary last-value hit and advancing first/last.
         """
-        if n == 0:
+        if fold.n == 0:
             return
-        self._histogram.update(counts)
-        self._total += n
-        self._zeros += zeros
-        self._lvp_hits += lvp_hits
-        if self._has_last and first == self._last:
+        self._histogram.update(fold.counts)
+        self._total += fold.n
+        self._zeros += fold.zeros
+        self._lvp_hits += fold.lvp_hits
+        if self._has_last and fold.first == self._last:
             self._lvp_hits += 1
         if not self._has_first:
-            self._first = first
+            self._first = fold.first
             self._has_first = True
-        self._last = last
+        self._last = fold.last
         self._has_last = True
 
     # ------------------------------------------------------------------

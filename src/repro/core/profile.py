@@ -115,40 +115,6 @@ class SiteProfile:
             fold_values(values, self.tnv.clear_interval, self.tnv._since_clear)
         )
 
-    def record_run(self, value: Value, count: int) -> None:
-        """Record ``count`` consecutive executions producing ``value``.
-
-        State-identical to ``count`` :meth:`record` calls: ``count - 1``
-        internal last-value hits plus the run-boundary hit, with the
-        TNV table splitting the run at clearing boundaries.
-        """
-        if count <= 0:
-            return
-        self._total += count
-        if is_zero(value):
-            self._zeros += count
-        hits = count - 1
-        if self._has_last and value == self._last:
-            hits += 1
-        self._lvp_hits += hits
-        if not self._has_first:
-            self._first = value
-            self._has_first = True
-        self._last = value
-        self._has_last = True
-        self.tnv.record_run(value, count)
-        if self.exact is not None:
-            self.exact.record_run(value, count)
-
-    def record_grouped(self, pairs: Iterable[Tuple[Value, int]]) -> None:
-        """Record run-length ``(value, count)`` pairs in stream order.
-
-        Each pair stands for ``count`` consecutive executions of
-        ``value``; recording is state-identical to the expanded stream.
-        """
-        for value, count in pairs:
-            self.record_run(value, count)
-
     def record_fold(self, fold: SiteFold) -> None:
         """Fold an already-reduced value run into this profile.
 
@@ -182,14 +148,7 @@ class SiteProfile:
         for counts, chunk_n in fold.chunks:
             tnv.record_grouped(counts, chunk_n)
         if self.exact is not None:
-            self.exact.record_parts(
-                counts=fold.counts,
-                n=fold.n,
-                zeros=fold.zeros,
-                lvp_hits=fold.lvp_hits,
-                first=fold.first,
-                last=fold.last,
-            )
+            self.exact.record_fold(fold)
 
     @property
     def executions(self) -> int:

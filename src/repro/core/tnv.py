@@ -28,6 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Tuple
 
+from repro.core.fold import chunk_bounds
 from repro.errors import ProfileError
 from repro.obs.metrics import METRICS as _METRICS
 
@@ -135,57 +136,39 @@ class TNVTable:
         Semantically identical to calling :meth:`record` once per value
         — including the exact positions of clearing passes — but far
         faster: the stream is split into runs that contain no clearing
-        boundary and each run is deduplicated once (one ``Counter``
-        pass) and folded through :meth:`record_grouped`.
+        boundary (:func:`repro.core.fold.chunk_bounds`) and each run is
+        deduplicated once (one ``Counter`` pass) and folded through
+        :meth:`record_grouped`.
         """
         if not isinstance(values, (list, tuple)):
             values = list(values)
         n = len(values)
-        if n == 0:
-            return
-        interval = self.clear_interval
-        if interval is None:
-            self.record_grouped(Counter(values), n)
-            return
-        start = 0
-        while start < n:
-            end = start + (interval - self._since_clear)
-            if end > n:
-                end = n
+        for start, end in chunk_bounds(n, self.clear_interval, self._since_clear):
             chunk = values if end - start == n else values[start:end]
             self.record_grouped(Counter(chunk), end - start)
-            start = end
 
-    def record_grouped(
-        self,
-        pairs: "Dict[Value, int] | Iterable[Tuple[Value, int]]",
-        n: int | None = None,
-    ) -> None:
-        """Fold pre-deduplicated ``(value, count)`` pairs into the table.
+    def record_grouped(self, counts: Dict[Value, int], n: int) -> None:
+        """Fold one pre-deduplicated ``value -> count`` group into the table.
 
         This is the columnar fast path: one clear-free group of ``n``
         events arrives already counted, so the table is updated with one
         dict operation per *distinct* value instead of one call per
-        event.  For bit-identity with per-event recording the pairs must
-        be in **first-appearance order** of the underlying stream —
-        which value claims the last free slot depends only on the order
-        distinct values first arrive, never on their counts
+        event.  For bit-identity with per-event recording ``counts``
+        must be in **first-appearance order** of the underlying stream
+        — which value claims the last free slot depends only on the
+        order distinct values first arrive, never on their counts
         (``Counter`` over a run yields exactly this order).
 
         The group must not span a clearing boundary; callers split runs
-        first (:func:`repro.core.fold.fold_values` emits chunks aligned
-        to ``clear_interval``).  A clearing pass fires when the group
-        lands exactly on the boundary, matching per-event behavior.
+        first (:func:`repro.core.fold.chunk_bounds`).  A clearing pass
+        fires when the group lands exactly on the boundary, matching
+        per-event behavior.
 
         Args:
-            pairs: mapping or iterable of ``(value, count)`` pairs with
-                positive counts, first-appearance ordered.
-            n: total event count of the group (sum of the counts);
-                computed when omitted.
+            counts: ``value -> count`` map with positive counts,
+                first-appearance ordered.
+            n: total event count of the group (sum of the counts).
         """
-        items = pairs.items() if isinstance(pairs, dict) else list(pairs)
-        if n is None:
-            n = sum(count for _, count in items)
         if n == 0:
             return
         interval = self.clear_interval
@@ -200,62 +183,31 @@ class TNVTable:
         # on the per-event path (see docs/observability.md).
         _METRICS.inc("tnv.batch_records", n)
         entries = self._entries
-        if isinstance(pairs, dict):
-            # Resident bumps and admissions are independent: bumping
-            # never changes occupancy and admitting never evicts, so
-            # probing the handful of residents against the group first
-            # and then admitting the first ``free`` unseen values is
-            # state-identical (entry order included) to the per-event
-            # interleaving — without walking every distinct value.
-            if entries:
-                get = pairs.get
-                for value in entries:
-                    count = get(value)
-                    if count is not None:
-                        entries[value] += count
-            free = self.capacity - len(entries)
-            if free:
-                for value, count in items:
-                    if value not in entries:
-                        entries[value] = count
-                        free -= 1
-                        if not free:
-                            break
-        else:
-            free = self.capacity - len(entries)
-            for value, count in items:
-                if value in entries:
+        # Resident bumps and admissions are independent: bumping never
+        # changes occupancy and admitting never evicts, so probing the
+        # handful of residents against the group first and then
+        # admitting the first ``free`` unseen values is state-identical
+        # (entry order included) to the per-event interleaving — without
+        # walking every distinct value.
+        if entries:
+            get = counts.get
+            for value in entries:
+                count = get(value)
+                if count is not None:
                     entries[value] += count
-                elif free:
+        free = self.capacity - len(entries)
+        if free:
+            for value, count in counts.items():
+                if value not in entries:
                     entries[value] = count
                     free -= 1
-                # else: full; the value is dropped — the periodic clear
-                # is what re-opens slots.
+                    if not free:
+                        break
         self._total += n
         if interval is not None:
             self._since_clear += n
             if self._since_clear >= interval:
                 self.clear_bottom()
-
-    def record_run(self, value: Value, count: int) -> None:
-        """Record ``count`` consecutive executions producing ``value``.
-
-        State-identical to ``count`` :meth:`record` calls: the run is
-        split at clearing boundaries and each piece folds as a
-        single-pair group.
-        """
-        if count <= 0:
-            return
-        interval = self.clear_interval
-        if interval is None:
-            self.record_grouped(((value, count),), count)
-            return
-        while count:
-            take = interval - self._since_clear
-            if take > count:
-                take = count
-            self.record_grouped(((value, take),), take)
-            count -= take
 
     def clear_bottom(self) -> None:
         """Evict the clear part: keep only the ``steady`` hottest entries.

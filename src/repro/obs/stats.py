@@ -14,9 +14,8 @@ summary tables:
   disk cache.
 * **Event-trace store** — simulate-once/replay-many effectiveness:
   captures vs replays, store hit rate, events replayed per second.
-* **Replay fold** — the columnar hot path: events/sites folded, runs
-  split at clearing boundaries, and which kernel (numpy or pure
-  Python) folded them.
+* **Replay fold** — the columnar hot path: events/sites folded and
+  runs split at clearing boundaries.
 * **Measured sampling overhead** — per-policy fraction of dynamic
   executions that actually paid profiling cost, next to the overhead
   story the thesis reports (Ch. VIII), closing the loop on the paper's
@@ -327,37 +326,26 @@ def render_tracestore(snapshot: dict) -> str:
     return table.render()
 
 
-#: ``tracestore.fold_mode`` gauge values → human-readable path names
-#: (kept in sync with :data:`repro.core.fold.FOLD_MODE_GAUGE`).
-_FOLD_MODE_NAMES = {0.0: "event", 1.0: "python", 2.0: "numpy"}
-
-
 def fold_stats(snapshot: dict) -> dict:
     """Columnar replay-fold effectiveness from a metrics snapshot."""
     counters = snapshot.get("counters", {})
-    gauges = snapshot.get("gauges", {})
-    mode_gauge = gauges.get("tracestore.fold_mode")
     return {
         "events_folded": counters.get("tracestore.fold_events", 0),
         "sites_folded": counters.get("tracestore.fold_sites", 0),
         "runs_split": counters.get("tracestore.fold_chunks", 0),
-        "mode": _FOLD_MODE_NAMES.get(mode_gauge, "-"),
-        "numpy_active": mode_gauge == 2.0,
     }
 
 
 def render_fold(snapshot: dict) -> str:
     stats = fold_stats(snapshot)
     table = Table(
-        ("events folded", "sites", "runs split", "kernel", "numpy active"),
+        ("events folded", "sites", "runs split"),
         title="Replay fold (columnar hot path)",
     )
     table.add_row(
         stats["events_folded"],
         stats["sites_folded"],
         stats["runs_split"],
-        stats["mode"],
-        "yes" if stats["numpy_active"] else "no",
     )
     return table.render()
 

@@ -150,42 +150,37 @@ class TestReplayEquivalence:
 
 
 class TestFoldModeEquivalence:
-    """Every fold mode must replay to byte-identical profile databases.
+    """Both ``replay_profile`` branches must replay to byte-identical
+    profile databases: the columnar fold path (flight recorder off) and
+    the raw-event batch path the flight recorder needs (recorder on)."""
 
-    ``grouped`` (kernel auto-selected), forced ``python``, and the
-    legacy ``event`` path all sit behind ``replay_profile``; the CI
-    equivalence job additionally diffs whole-experiment output between
-    ``REPRO_FOLD=grouped`` and ``REPRO_FOLD=event``.
-    """
-
-    @pytest.fixture(autouse=True)
-    def _restore_mode(self):
-        from repro.core import fold as foldmod
-
-        before = foldmod.fold_mode()
-        yield
-        foldmod.set_fold_mode(before)
-
-    @pytest.mark.parametrize("mode", ["grouped", "python", "event"])
+    @pytest.mark.parametrize("recorder", [False, True], ids=["recorder-off", "recorder-on"])
     @pytest.mark.parametrize(
         "targets",
         [(ProfileTarget.LOADS,), tuple(ALL_TARGETS)],
         ids=["loads", "all"],
     )
-    def test_replay_profile_matches_live_in_every_mode(self, captured, mode, targets):
-        from repro.core import fold as foldmod
+    def test_replay_profile_matches_live_in_every_mode(self, captured, recorder, targets):
+        from repro.obs.flight import FLIGHT
 
         live = ProfileDatabase(name=NAME)
         _live_machine(
             ValueProfiler(get_workload(NAME).program(), live, targets=targets)
         )
-        foldmod.set_fold_mode(mode)
-        replayed = replay_profile(captured, targets, name=NAME)
+        if recorder:
+            FLIGHT.enable(capacity=64)
+        try:
+            replayed = replay_profile(captured, targets, name=NAME)
+            teed = FLIGHT.total_events
+        finally:
+            FLIGHT.disable()
+            FLIGHT.reset()
+        assert (teed > 0) == recorder
         assert replayed.to_json() == live.to_json()
 
     def test_site_folds_order_matches_site_values(self, captured):
-        """Fold gather (numpy path included) must yield sites in the
-        same first-appearance order as the list gather."""
+        """Fold gather must yield sites in the same first-appearance
+        order as the list gather."""
         targets = tuple(ALL_TARGETS)
         by_values = [site for site, _ in captured.site_values(targets)]
         by_folds = [site for site, _ in captured.site_folds(targets, 2000)]

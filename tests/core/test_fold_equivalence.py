@@ -3,12 +3,12 @@
 :mod:`repro.core.fold` reduces a site's value run once — grouped
 ``(value, count)`` chunks split at clearing boundaries plus the
 order-sensitive scalars — and the grouped fast paths
-(``TNVTable.record_grouped``/``record_run``, ``SiteProfile.record_fold``
-and friends) consume that reduction.  Every observable result must match
-the per-event path bit for bit: resident TNV entries *and* their dict
+(``TNVTable.record_grouped``, ``SiteProfile.record_fold`` and friends)
+consume that reduction.  Every observable result must match the
+per-event path bit for bit: resident TNV entries *and* their dict
 order, clear positions, health telemetry, LVP/zero/first/last scalars,
-exact histograms, serialized JSON.  Both kernels (pure Python and
-numpy, when installed) must produce identical folds.
+exact histograms, serialized JSON.  An ``array('q')`` column and a
+plain list must produce identical folds.
 """
 
 from array import array
@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import fold as foldmod
 from repro.core.fold import fold_from_payload, fold_to_payload, fold_values
 from repro.core.metrics import ValueStreamStats
 from repro.core.profile import ProfileDatabase, SiteProfile, TNVConfig
@@ -38,10 +37,6 @@ CONFIGS = [
 ]
 
 values_strategy = st.lists(st.integers(min_value=-6, max_value=6), max_size=300)
-runs_strategy = st.lists(
-    st.tuples(st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=20)),
-    max_size=40,
-)
 
 
 def tnv_full_state(table: TNVTable):
@@ -128,40 +123,11 @@ def test_tnv_health_counters_match_per_event(config, values):
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: str(c["clear_interval"]))
 @settings(max_examples=40, deadline=None)
-@given(runs=runs_strategy)
-def test_record_run_matches_expanded_stream(config, runs):
-    expanded = [value for value, count in runs for _ in range(count)]
-    per_event = SiteProfile(SITE, TNVConfig(**config))
-    for value in expanded:
-        per_event.record(value)
-    rle = SiteProfile(SITE, TNVConfig(**config))
-    for value, count in runs:
-        rle.record_run(value, count)
-    assert profile_state(rle) == profile_state(per_event)
-    grouped = SiteProfile(SITE, TNVConfig(**config))
-    grouped.record_grouped(runs)
-    assert profile_state(grouped) == profile_state(per_event)
-
-
-@settings(max_examples=40, deadline=None)
-@given(runs=runs_strategy)
-def test_stream_stats_record_run_matches_expanded_stream(runs):
-    expanded = [value for value, count in runs for _ in range(count)]
-    per_event = ValueStreamStats()
-    for value in expanded:
-        per_event.record(value)
-    rle = ValueStreamStats()
-    rle.record_grouped(runs)
-    assert stats_state(rle) == stats_state(per_event)
-
-
-@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: str(c["clear_interval"]))
-@settings(max_examples=40, deadline=None)
 @given(values=values_strategy)
-def test_kernels_produce_identical_folds(config, values):
-    """The ``array('q')`` column (numpy kernel when installed) and the
-    plain-list run (pure-Python kernel) must fold identically — chunk
-    maps in the same order with the same Python-int values."""
+def test_array_column_folds_like_list(config, values):
+    """An ``array('q')`` column (what the trace store holds) and the
+    same run as a plain list must fold identically — chunk maps in the
+    same order with the same Python-int values."""
     interval = config["clear_interval"]
     from_list = fold_values(values, interval)
     from_column = fold_values(array("q", values), interval)
@@ -213,21 +179,6 @@ class TestGuards:
         profile.record(5)
         with pytest.raises(ProfileError):
             profile.record_fold(fold_values([1, 2, 3], 10))  # since=0, table at 1
-
-    def test_forced_numpy_mode_requires_numpy_compatible_input(self):
-        if not foldmod.have_numpy():
-            pytest.skip("numpy not installed")
-        before = foldmod.fold_mode()
-        foldmod.set_fold_mode(foldmod.FOLD_NUMPY)
-        try:
-            with pytest.raises(ProfileError):
-                fold_values(["a", "b"], None)
-        finally:
-            foldmod.set_fold_mode(before)
-
-    def test_set_fold_mode_rejects_unknown_mode(self):
-        with pytest.raises(ProfileError):
-            foldmod.set_fold_mode("vectorized")
 
 
 class TestDatabaseFold:
